@@ -9,7 +9,7 @@ cache corruption on a two-worker pool — and pins
 
 * byte-identity (``pickle.dumps``) of the assembled series, and
 * sweep completion with zero exhausted-budget failures and zero
-  engine/backend degradations (retries alone absorb this fault rate),
+  pool->serial fallbacks (retries alone absorb this fault rate),
 
 while recording the fault-tolerance counters (retries, pool respawns,
 quarantined writes) and the wall-time overhead of surviving the chaos in
@@ -35,7 +35,7 @@ INTENSITIES = [0.4] if SMOKE else [0.4, 0.8]
 #: one in twenty raises, one in twenty cache writes is corrupted.
 CHAOS = ChaosPolicy(crash=0.10, fail=0.05, corrupt=0.05, seed=17)
 #: Generous budget, microsecond backoff: per-unit exhaustion probability
-#: at these rates is ~(0.15)^8, so degradation should never fire.
+#: at these rates is ~(0.15)^8, so the serial fallback should never fire.
 POLICY = SupervisorPolicy(max_attempts=8)
 
 
@@ -79,6 +79,6 @@ def test_chaos_sweep_is_byte_identical(benchmark, tmp_path):
         "value-transparent")
     assert not report.failures, "retry budget exhausted under 10% chaos"
     assert not report.degradations, (
-        "engine/backend degradation fired — retries should absorb this "
+        "pool->serial fallback fired — retries should absorb this "
         "fault rate")
     assert not verify.legacy

@@ -77,14 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
     run.add_argument("--no-cache", action="store_true",
                      help="recompute every point, bypassing the cache")
-    run.add_argument("--resume", action="store_true",
-                     help="resume an interrupted sweep: replay the sweep "
-                          "journal and recompute only the missing points "
-                          "(requires the cache)")
     run.add_argument("--max-attempts", type=int, default=3,
                      help="executions per point before the supervisor "
-                          "degrades it and, as a last resort, fails the "
-                          "sweep (default: 3)")
+                          "runs it once inline and, if that fails too, "
+                          "fails the sweep (default: 3)")
     run.add_argument("--unit-timeout", type=float, default=None,
                      help="seconds before an in-flight point counts as "
                           "hung and its worker pool is recycled "
@@ -244,10 +240,6 @@ def _command_run(args) -> int:
         print(result.report)
         return 0
 
-    if args.resume and args.no_cache:
-        print("error: --resume needs the cache; it cannot be combined "
-              "with --no-cache", file=sys.stderr)
-        return 2
     if args.engine in ("auto", "batched", "megabatch"):
         # One line per curve that will fall back to the scalar engine,
         # naming the gate property that blocks it.
@@ -277,8 +269,7 @@ def _command_run(args) -> int:
         profiler.enable()
     start = time.perf_counter()
     series = figure_series(args.exp_id, quality=args.quality, seed=args.seed,
-                           runner=runner, engine=args.engine,
-                           resume=args.resume)
+                           runner=runner, engine=args.engine)
     elapsed = time.perf_counter() - start
     if profiler is not None:
         profiler.disable()
@@ -291,11 +282,12 @@ def _command_run(args) -> int:
     outcomes = runner.last_outcomes
     hits = sum(1 for outcome in outcomes if outcome.cached)
     print()
-    print(f"{len(outcomes)} points in {elapsed:.2f}s "
+    points = sum(len(curve.points) for curve in series)
+    print(f"{points} points ({len(outcomes)} units) in {elapsed:.2f}s "
           f"({runner.effective_jobs} job(s), {hits} cache hit(s), "
           f"cache {'off' if cache is None else cache.root})")
     report = runner.last_report
-    if not report.clean or report.resumed or report.deduped:
+    if not report.clean or report.deduped:
         print(report.format())
     if profiler is not None:
         import pstats

@@ -103,8 +103,7 @@ def intensity_grid(step: float, start: float = 0.1, stop: float = 1.2) -> List[f
 
 def figure_work_units(exp_id: str, quality: str = "fast",
                       intensities: Optional[Sequence[float]] = None,
-                      seed: int = 1, solver: str = "dense",
-                      engine: str = "scalar"):
+                      seed: int = 1, engine: str = "scalar"):
     """Decompose a delay figure into independent work units.
 
     Returns ``(spec, grid, units)`` where ``units`` holds one
@@ -117,14 +116,9 @@ def figure_work_units(exp_id: str, quality: str = "fast",
     randomness, and a fixed seed lets cached points be shared across master
     seeds.
 
-    ``solver`` tags analytic units with a backend ("dense" per-point
-    reference solves — the default, independent of execution order — or
-    "sweep" for the parametric fast path).  The tag is digest material, so
-    the result cache never serves one backend's points for the other.
-    Likewise ``engine`` ("scalar", "batched", "megabatch", or "auto")
-    selects the simulation engine of every simulated point and rides in
-    the unit params, so scalar and batched results are digest-separated
-    too.
+    ``engine`` ("scalar", "batched", "megabatch", or "auto") selects the
+    simulation engine of every simulated point and rides in the unit
+    params, so scalar and batched results are digest-separated.
 
     ``engine="megabatch"`` collapses each simulated curve that passes the
     batchability gate into ONE ``megabatch-figure`` unit carrying the
@@ -166,7 +160,7 @@ def figure_work_units(exp_id: str, quality: str = "fast",
                     "config": triplet,
                     "mu_ratio": spec.mu_ratio,
                     "intensity": intensity,
-                }, backend=solver))
+                }))
             continue
         if (engine in ("megabatch", "auto") and grid
                 and megabatch_curve_reason(config, spec.mu_ratio) is None):
@@ -195,8 +189,7 @@ def figure_work_units(exp_id: str, quality: str = "fast",
 
 def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
                              intensities: Optional[Sequence[float]] = None,
-                             seed: int = 1, solver: str = "dense",
-                             engine: str = "scalar"):
+                             seed: int = 1, engine: str = "scalar"):
     """Work units for several figures as one batch, duplicates included.
 
     Returns ``(specs, grid, units)``: the per-figure specs, the shared
@@ -221,7 +214,7 @@ def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
     for exp_id in exp_ids:
         spec, grid, figure_units = figure_work_units(
             exp_id, quality=quality, intensities=intensities, seed=seed,
-            solver=solver, engine=engine)
+            engine=engine)
         specs.append(spec)
         units.extend(figure_units)
     return specs, grid, units
@@ -230,8 +223,7 @@ def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
 def figure_series(exp_id: str, quality: str = "fast",
                   intensities: Optional[Sequence[float]] = None,
                   seed: int = 1, jobs: Optional[int] = None,
-                  runner=None, solver: str = "dense",
-                  engine: str = "scalar", resume: bool = False) -> List[Series]:
+                  runner=None, engine: str = "scalar") -> List[Series]:
     """Materialize every curve of a delay figure.
 
     Points are independent seeded work units executed through a
@@ -240,30 +232,22 @@ def figure_series(exp_id: str, quality: str = "fast",
     variable), and memoized when the runner carries a result cache.  The
     assembled series are identical whatever the worker count.
 
-    When the runner carries a cache, the run is journaled under a digest of
-    the figure identity (next to the cache, in ``_journals/``) so that a
-    killed sweep leaves a checkpoint behind; ``resume=True`` replays that
-    journal and recomputes only the missing points.  Resume accounting ends
-    up on ``runner.last_report``.
+    When the runner carries a cache, every unit outcome is journaled under
+    a digest of the figure identity (next to the cache, in ``_journals/``).
+    A killed sweep restarts by calling this again: finished points are
+    cache hits and only the missing ones are computed.
     """
     from repro.runner import SweepJournal, SweepRunner, code_version
 
     spec, grid, units = figure_work_units(exp_id, quality=quality,
                                           intensities=intensities, seed=seed,
-                                          solver=solver, engine=engine)
+                                          engine=engine)
     if runner is None:
         runner = SweepRunner(jobs=jobs)
     if runner.journal is None and runner.cache is not None:
         runner.journal = SweepJournal.for_sweep(
-            runner.cache.root, "figure", exp_id, quality, seed, solver,
-            engine, code_version())
-    if resume:
-        if runner.cache is None:
-            raise ConfigurationError(
-                "resume requires a result cache: completed points are "
-                "replayed from it, so a cache-less runner has nothing to "
-                "resume from")
-        runner.resume = True
+            runner.cache.root, "figure", exp_id, quality, seed, engine,
+            code_version())
     values = runner.run_values(units)
     series = []
     cursor = 0

@@ -789,7 +789,7 @@ class DigestDrift(ProjectRule):
     """SIM007: evaluator behavior must be a function of digest material.
 
     The work-unit digest covers ``(code version, evaluator id, seed,
-    backend, params)`` — nothing else (see
+    params)`` — nothing else (see
     :data:`repro.runner.workunit.DIGEST_MATERIAL`).  An evaluator that
     reads ``os.environ``, or a ``params`` key outside its declared
     ``reads=(...)`` tuple, can change results without changing the digest,

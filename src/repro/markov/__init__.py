@@ -1,13 +1,5 @@
 """Markov-chain substrate: generic CTMC, QBD tools, and the SBUS chain."""
 
-from repro.markov.assembly import (
-    MultibusSweepSolver,
-    ParametricAssembly,
-    SbusSweepSolver,
-    SolveStats,
-    SolverContext,
-    StationarySweepSolver,
-)
 from repro.markov.ctmc import FiniteCTMC
 from repro.markov.qbd import drift_condition, geometric_tail_sums, solve_rate_matrix
 from repro.markov.sbus_chain import SbusChain, SbusState
@@ -28,12 +20,6 @@ from repro.markov.transient import time_to_stationarity, transient_distribution
 
 __all__ = [
     "FiniteCTMC",
-    "ParametricAssembly",
-    "StationarySweepSolver",
-    "SbusSweepSolver",
-    "MultibusSweepSolver",
-    "SolverContext",
-    "SolveStats",
     "SbusChain",
     "SbusState",
     "SbusSolution",

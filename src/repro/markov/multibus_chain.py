@@ -83,9 +83,7 @@ class MultibusChain:
 
     def arrival_transitions(self, state: MultibusState
                             ) -> Iterator[Tuple[MultibusState, float]]:
-        """The arrival transition — the ``lambda * B`` part of the
-        parametric split used by :mod:`repro.markov.assembly` (a chain with
-        ``arrival_rate=1`` yields the unit coefficients)."""
+        """The arrival transition (rate proportional to the arrival rate)."""
         queued, ports = state
         # Arrival: dispatch immediately if some port can accept, else queue.
         target = self.dispatch_port(ports)
@@ -96,7 +94,8 @@ class MultibusChain:
 
     def completion_transitions(self, state: MultibusState
                                ) -> Iterator[Tuple[MultibusState, float]]:
-        """Completions — the rate-independent ``A`` part of the split."""
+        """Transmission/service completions (independent of the arrival
+        rate)."""
         queued, ports = state
         # Transmission completions.
         for index, (bus, busy) in enumerate(ports):

@@ -122,12 +122,8 @@ class SbusChain:
                             ) -> Iterator[Tuple[SbusState, float]]:
         """The arrival transition of ``state`` (rate proportional to Lambda).
 
-        Exactly the entries of the generator scaled by the arrival rate —
-        the ``lambda * B`` part of the parametric split
-        ``Q(lambda) = A + lambda * B`` exploited by
-        :mod:`repro.markov.assembly` (the rate yielded here is
-        ``arrival_rate`` times the unit coefficient, so a chain built with
-        ``arrival_rate=1`` yields the coefficients themselves).
+        Exactly the entries of the generator scaled by the arrival rate;
+        :meth:`completion_transitions` yields the rest.
         """
         queued, transmitting, busy = state
         r = self.resources
@@ -140,7 +136,7 @@ class SbusChain:
 
     def completion_transitions(self, state: SbusState
                                ) -> Iterator[Tuple[SbusState, float]]:
-        """Transmission/service completions — the ``A`` part of the split."""
+        """Transmission/service completions (independent of Lambda)."""
         queued, transmitting, busy = state
         r = self.resources
         # Transmission completion.

@@ -8,11 +8,12 @@ content-addressed :class:`WorkUnit` objects, fans them out over a
 byte-identical to serial results for the same seeds.
 
 Execution is fault-tolerant: a :class:`Supervisor` retries failed or
-timed-out units with deterministic backoff and degrades gracefully
-(batched engine → scalar, sweep solver → dense, pool → serial) before
-giving up; a :class:`SweepJournal` checkpoints completed units so killed
-sweeps resume where they stopped; cache entries are checksummed envelopes
-and corruption is quarantined, never served.  A :class:`ChaosPolicy`
+timed-out units with deterministic backoff and runs a unit the pool could
+not finish once inline (pool → serial) before failing loudly — every unit
+computes exactly what its digest names; a :class:`SweepJournal` logs each
+outcome, and a killed sweep restarts by plain rerun (finished units are
+cache hits); cache entries are checksummed envelopes and corruption is
+quarantined, never served.  A :class:`ChaosPolicy`
 (``REPRO_CHAOS``) injects worker crashes, hangs, and cache corruption
 deterministically to prove all of the above under test.
 
@@ -81,11 +82,9 @@ from repro.runner.supervisor import (
     RunReport,
     Supervisor,
     SupervisorPolicy,
-    degrade_unit,
 )
 from repro.runner.workunit import (
     CACHE_SCHEMA_VERSION,
-    DEFAULT_BACKEND,
     WorkUnit,
     canonical_params,
     code_version,
@@ -96,7 +95,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",
     "CHAOS_ENV",
-    "DEFAULT_BACKEND",
     "ENVELOPE_VERSION",
     "INDEX_FILENAME",
     "INDEX_SCHEMA_VERSION",
@@ -126,7 +124,6 @@ __all__ = [
     "code_version",
     "decode_entry",
     "default_cache_dir",
-    "degrade_unit",
     "encode_entry",
     "evaluator",
     "execute_payload",

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runner.chaos import resolve_chaos
-from repro.runner.workunit import DEFAULT_BACKEND
 
 Evaluator = Callable[..., Any]
 
@@ -76,7 +75,7 @@ def get_evaluator(evaluator_id: str) -> Evaluator:
 
 
 def execute_payload(
-        payload: Tuple[str, int, dict, str, str],
+        payload: Tuple[str, int, dict, str],
         attempt: int = 0,
         chaos_spec: Optional[str] = None,
         in_worker: bool = True,
@@ -93,42 +92,23 @@ def execute_payload(
     carries an explicit policy across the process boundary; when absent,
     ``REPRO_CHAOS`` (inherited by workers) applies.
     """
-    evaluator_id, seed, params, backend, digest = payload
+    evaluator_id, seed, params, digest = payload
     start = time.perf_counter()
     try:
         chaos = resolve_chaos(spec=chaos_spec)
         if chaos.active:
             chaos.maybe_inject(digest, attempt, in_worker=in_worker)
-        value = get_evaluator(evaluator_id)(seed, params, backend)
+        value = get_evaluator(evaluator_id)(seed, params)
     except BaseException:
         return digest, None, traceback.format_exc(), time.perf_counter() - start
     return digest, value, None, time.perf_counter() - start
-
-
-#: Per-process solver context for the ``sweep`` backend.  Workers are
-#: long-lived, so chain structure assembled for one unit is reused by every
-#: later unit the same process executes.
-_WORKER_CONTEXT = None
-
-
-def _worker_context():
-    global _WORKER_CONTEXT
-    if _WORKER_CONTEXT is None:
-        from repro.markov.assembly import SolverContext
-
-        # Deliberate per-process memo: the context caches chain *structure*
-        # keyed by configuration, never results, so reuse cannot change any
-        # evaluator's output.
-        _WORKER_CONTEXT = SolverContext()  # lint: disable=SIM008
-    return _WORKER_CONTEXT
 
 
 @evaluator("sweep-point", reads=("config", "mu_ratio", "intensity",
                                  "horizon", "warmup_fraction",
                                  "arbitration", "saturation_guard",
                                  "engine"))
-def sweep_point(seed: int, params: Mapping[str, Any],
-                backend: str = DEFAULT_BACKEND):
+def sweep_point(seed: int, params: Mapping[str, Any]):
     """One simulated delay point; params mirror ``simulated_point``."""
     from repro.analysis.sweep import simulated_point
 
@@ -143,30 +123,19 @@ def sweep_point(seed: int, params: Mapping[str, Any],
 
 
 @evaluator("analytic-point", reads=("config", "mu_ratio", "intensity"))
-def analytic_point(seed: int, params: Mapping[str, Any],
-                   backend: str = DEFAULT_BACKEND):
-    """One exact SBUS delay point (the seed is irrelevant and ignored).
-
-    ``backend="dense"`` is the per-point reference path; ``"sweep"`` routes
-    the solve through a per-process parametric
-    :class:`~repro.markov.assembly.SolverContext`.  The backend is digest
-    material, so cached results never cross backends.
-    """
+def analytic_point(seed: int, params: Mapping[str, Any]):
+    """One exact SBUS delay point (the seed is irrelevant and ignored)."""
     from repro.analysis.sweep import analytic_point as exact_point
 
-    if backend not in ("dense", "sweep"):
-        raise ConfigurationError(f"unknown solver backend: {backend!r}")
-    context = _worker_context() if backend == "sweep" else None
     return exact_point(params["config"], params["mu_ratio"],
-                       params["intensity"], context=context)
+                       params["intensity"])
 
 
 @evaluator("replication-delay", reads=("config", "arrival_rate",
                                        "transmission_rate",
                                        "service_rate", "horizon",
                                        "warmup", "arbitration"))
-def replication_delay(seed: int, params: Mapping[str, Any],
-                      backend: str = DEFAULT_BACKEND) -> float:
+def replication_delay(seed: int, params: Mapping[str, Any]) -> float:
     """Mean queueing delay of one independent replication."""
     from repro.core.system import simulate
     from repro.workload.arrivals import Workload
@@ -184,8 +153,7 @@ def replication_delay(seed: int, params: Mapping[str, Any],
            reads=("config", "arrival_rate", "transmission_rate",
                   "service_rate", "replications", "horizon", "warmup",
                   "arbitration"))
-def replication_delay_batched(seed: int, params: Mapping[str, Any],
-                              backend: str = DEFAULT_BACKEND) -> list:
+def replication_delay_batched(seed: int, params: Mapping[str, Any]) -> list:
     """Mean delays of ``params["replications"]`` lockstep replications.
 
     ``seed`` is the base seed; replication ``i`` runs with ``seed + i``,
@@ -210,8 +178,7 @@ def replication_delay_batched(seed: int, params: Mapping[str, Any],
 @evaluator("megabatch-figure", reads=("config", "mu_ratio", "intensities",
                                       "horizon", "warmup_fraction",
                                       "arbitration", "saturation_guard"))
-def megabatch_figure(seed: int, params: Mapping[str, Any],
-                     backend: str = DEFAULT_BACKEND) -> list:
+def megabatch_figure(seed: int, params: Mapping[str, Any]) -> list:
     """A whole figure curve of sweep points as one 2-D mega-batch.
 
     ``seed`` is the figure's master seed; each point derives the same

@@ -1,13 +1,13 @@
 """Executor backends: the transport seam under the supervisor.
 
 The supervisor (:mod:`repro.runner.supervisor`) owns *policy* — retry
-budgets, backoff, the degradation ladder, pool respawn accounting — and
+budgets, backoff, the serial fallback, pool respawn accounting — and
 deliberately knows nothing about *transport*: how a work-unit payload
 reaches an execution context and comes back as a future.  That seam is
 this module's :class:`ExecutorBackend` protocol.  Two implementations
 ship today (inline serial, local process pool); the planned sweep-service
 daemon adds a distributed one by implementing the same five methods,
-leaving every line of retry/degradation logic untouched.
+leaving every line of retry/fallback logic untouched.
 
 The contract the supervisor relies on:
 

@@ -1,4 +1,4 @@
-"""Append-only sweep journal: checkpoint/resume for figure sweeps.
+"""Append-only sweep journal: the per-unit outcome log of figure sweeps.
 
 The content-addressed cache already makes re-running a killed sweep cheap
 (completed points are hits), but it cannot say *which* sweep a result
@@ -9,11 +9,11 @@ named by the sweep's own content digest next to the cache
 (``<cache root>/_journals/<sweep digest>.jsonl``).
 
 Because appends happen per outcome, a run killed at 50% leaves a journal
-whose ``completed_digests()`` names precisely the finished units;
-``repro run <fig> --resume`` reads it back, serves those units from the
-cache, and recomputes only what is missing.  A line torn by the kill
-itself fails to parse and is skipped — append-only JSONL degrades to
-"lose at most the last record", never to a poisoned file.
+naming precisely the finished units.  Restarting needs no journal: a
+plain rerun serves those units from the cache and recomputes only what is
+missing, appending its own records.  A line torn by the kill itself fails
+to parse and is skipped — append-only JSONL degrades to "lose at most the
+last record", never to a poisoned file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 #: Journal record schema; bump on incompatible record shape changes.
 JOURNAL_SCHEMA = 1
@@ -46,14 +46,13 @@ class JournalSummary:
     ok: int
     failed: int
     cached: int
-    resumed: int
     degraded: int
     retried: int
     skipped_lines: int
 
     def format(self) -> str:
         return (f"journal: {self.records} record(s) — {self.ok} ok "
-                f"({self.cached} cached, {self.resumed} resumed), "
+                f"({self.cached} cached), "
                 f"{self.failed} failed, {self.degraded} degraded, "
                 f"{self.retried} retried"
                 + (f", {self.skipped_lines} torn line(s) skipped"
@@ -78,10 +77,8 @@ class SweepJournal:
     # -- writing ----------------------------------------------------------
 
     def record(self, digest: str, status: str, *, attempts: int = 1,
-               cached: bool = False, resumed: bool = False,
-               deduped: bool = False, degraded: Sequence[str] = (),
-               wall_time: float = 0.0,
-               final_digest: Optional[str] = None,
+               cached: bool = False, deduped: bool = False,
+               degraded: Sequence[str] = (), wall_time: float = 0.0,
                error: Optional[str] = None) -> None:
         """Append one outcome record (flushed immediately; crash-safe)."""
         entry: Dict[str, object] = {
@@ -92,8 +89,6 @@ class SweepJournal:
         }
         if cached:
             entry["cached"] = True
-        if resumed:
-            entry["resumed"] = True
         if deduped:
             # Additive key (same schema): the unit followed an equal-digest
             # leader in its own run rather than executing.
@@ -102,13 +97,11 @@ class SweepJournal:
             entry["degraded"] = list(degraded)
         if wall_time:
             entry["wall_time"] = round(wall_time, 6)
-        if final_digest is not None and final_digest != digest:
-            entry["final_digest"] = final_digest
         if error:
             entry["error"] = error.strip().splitlines()[-1][:200]
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # A run killed mid-append leaves a torn line with no newline; a
-        # resumed run must not glue its first record onto it (that would
+        # rerun must not glue its first record onto it (that would
         # tear *two* records).  Close the wound with a newline first.
         torn_tail = False
         try:
@@ -127,7 +120,7 @@ class SweepJournal:
             handle.flush()
 
     def clear(self) -> None:
-        """Forget the journal (a fresh, non-resumed sweep)."""
+        """Forget the journal."""
         try:
             self.path.unlink()
         except OSError:
@@ -158,11 +151,6 @@ class SweepJournal:
                 self._skipped_lines += 1
         return records
 
-    def completed_digests(self) -> Set[str]:
-        """Digests of every unit some past run completed successfully."""
-        return {str(entry["digest"]) for entry in self.entries()
-                if entry.get("status") == "ok" and "digest" in entry}
-
     def summary(self) -> JournalSummary:
         """The end-of-run integrity summary over the whole journal."""
         records = self.entries()
@@ -171,7 +159,6 @@ class SweepJournal:
             ok=sum(1 for e in records if e.get("status") == "ok"),
             failed=sum(1 for e in records if e.get("status") == "failed"),
             cached=sum(1 for e in records if e.get("cached")),
-            resumed=sum(1 for e in records if e.get("resumed")),
             degraded=sum(1 for e in records if e.get("degraded")),
             retried=sum(1 for e in records if e.get("attempts", 1) > 1),
             skipped_lines=self._skipped_lines,

@@ -10,9 +10,10 @@ path executes inline with no pool at all.
 
 Execution is *supervised* (see :mod:`repro.runner.supervisor`): per-unit
 failures, worker timeouts, and pool breakage are retried with
-deterministic backoff and then walked down a degradation ladder instead of
-aborting the sweep; a :class:`~repro.runner.journal.SweepJournal` can
-checkpoint completed units so a killed sweep resumes where it stopped.
+deterministic backoff and then tried once inline before the sweep fails;
+a :class:`~repro.runner.journal.SweepJournal` logs every outcome.  A
+killed sweep needs no special restart: rerunning it serves the finished
+units from the cache and computes only the rest.
 Worker exceptions cannot cross the process boundary intact, so the worker
 wrapper (:func:`repro.runner.evaluators.execute_payload`) catches
 everything, marshals the traceback as text, and the parent re-raises it as
@@ -72,15 +73,11 @@ class UnitOutcome:
     ``wall_time`` is the worker-side execution time in seconds (0.0 for a
     cache hit); ``error`` carries the marshalled worker traceback when the
     unit failed even after supervision.  ``attempts`` counts executions
-    started (1 for a clean first try); ``degraded`` lists the degradation
-    ladder steps taken (``engine:batched->scalar``,
-    ``backend:sweep->dense``, ``pool->serial``); ``resumed`` marks a cache
-    hit that a ``--resume`` journal predicted; ``deduped`` marks a unit
-    that followed an equal-digest leader in the same run (its value,
-    error, and provenance are the leader's, its wall time zero);
-    ``computed_digest`` is the digest of what was *actually* computed — it
-    differs from ``unit.config_digest`` exactly when degradation changed
-    the unit.
+    started (1 for a clean first try); ``degraded`` lists the fallback
+    steps taken (only ``pool->serial``: the same unit, run inline);
+    ``deduped`` marks a unit that followed an equal-digest leader in the
+    same run (its value, error, and provenance are the leader's, its wall
+    time zero).
     """
 
     unit: Any
@@ -90,9 +87,7 @@ class UnitOutcome:
     error: Optional[str] = None
     attempts: int = 1
     degraded: Tuple[str, ...] = ()
-    resumed: bool = False
     deduped: bool = False
-    computed_digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -110,13 +105,11 @@ class SweepRunner:
       a :class:`~repro.errors.ConfigurationError` directing callers to
       :class:`SupervisorPolicy`;
     * ``supervisor`` — a :class:`SupervisorPolicy` (retry budget, unit
-      timeout, degradation ladder, in-flight dedup); ``None`` uses the
+      timeout, pool respawns, in-flight dedup); ``None`` uses the
       defaults;
     * ``chaos`` — an explicit :class:`ChaosPolicy` for fault injection
       (``None`` defers to the ``REPRO_CHAOS`` environment variable);
     * ``journal`` — a :class:`SweepJournal` appended per completed unit;
-    * ``resume`` — serve units the journal already records as completed
-      from the cache and mark them ``resumed`` (requires both);
     * ``backend_factory`` — an :class:`~repro.runner.executors`
       ``ExecutorBackend`` factory for the parallel path (``None`` uses
       the local process pool).
@@ -135,7 +128,6 @@ class SweepRunner:
                  supervisor: Optional[SupervisorPolicy] = None,
                  chaos: Optional[ChaosPolicy] = None,
                  journal: Optional[SweepJournal] = None,
-                 resume: bool = False,
                  backend_factory: Optional[Callable] = None):
         if chunk_size is not None:
             raise ConfigurationError(
@@ -156,7 +148,6 @@ class SweepRunner:
             # including this runner's cache writes.
             self.cache.chaos = chaos
         self.journal = journal
-        self.resume = resume
         self.last_outcomes: List[UnitOutcome] = []
         self.last_report: RunReport = RunReport()
 
@@ -170,8 +161,6 @@ class SweepRunner:
         """Execute ``units``; outcomes come back in submission order."""
         jobs = resolve_jobs(self.jobs)
         journal = self.journal
-        resume_set = (journal.completed_digests()
-                      if journal is not None and self.resume else set())
         report = RunReport(total=len(units))
         outcomes: List[Optional[UnitOutcome]] = [None] * len(units)
 
@@ -185,17 +174,12 @@ class SweepRunner:
         pending: List[Tuple[int, Any]] = []
         for index, unit in enumerate(units):
             if unit.config_digest in cached_values:
-                resumed = unit.config_digest in resume_set
                 outcomes[index] = UnitOutcome(
                     unit=unit, value=cached_values[unit.config_digest],
-                    wall_time=0.0, cached=True, resumed=resumed,
-                    computed_digest=unit.config_digest)
+                    wall_time=0.0, cached=True)
                 report.cache_hits += 1
-                if resumed:
-                    report.resumed += 1
                 if journal is not None:
-                    journal.record(unit.config_digest, "ok", cached=True,
-                                   resumed=resumed)
+                    journal.record(unit.config_digest, "ok", cached=True)
                 continue
             pending.append((index, unit))
 
@@ -209,9 +193,7 @@ class SweepRunner:
                     report.computed += 1
                     if self.cache is not None:
                         self.cache.put(
-                            outcome.computed_digest
-                            or outcome.unit.config_digest,
-                            outcome.value,
+                            outcome.unit.config_digest, outcome.value,
                             evaluator_id=outcome.unit.evaluator_id)
                 if journal is not None:
                     journal.record(
@@ -221,7 +203,6 @@ class SweepRunner:
                         deduped=outcome.deduped,
                         degraded=outcome.degraded,
                         wall_time=outcome.wall_time,
-                        final_digest=outcome.computed_digest or None,
                         error=outcome.error)
 
             Supervisor(self.supervisor, chaos=self.chaos,

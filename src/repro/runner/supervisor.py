@@ -1,4 +1,4 @@
-"""Supervised work-unit execution: retry, degradation ladder, pool respawn.
+"""Supervised work-unit execution: retry, serial fallback, pool respawn.
 
 ``SweepRunner`` used to be optimistic: one worker exception aborted the
 whole sweep, a hung worker blocked it forever, and a dead worker process
@@ -12,14 +12,13 @@ for the modeled fabrics:
   named :func:`~repro.faults.retry.backoff_stream` keyed on the unit
   digest and attempt — two runs of the same sweep back off identically).
 
-* **Graceful degradation.**  Once the budget is spent the unit walks a
-  ladder, recorded step by step in the outcome's provenance:
-  ``engine:batched->scalar`` (batched-engine units fall back to the scalar
-  reference engine), ``backend:sweep->dense`` (sweep-solver units fall
-  back to per-point dense solves), and finally ``pool->serial`` (the unit
-  runs inline in the parent, surviving even a broken worker environment).
-  The first two change the unit's digest — the computed value is cached
-  under what was actually computed, never under what was asked for.
+* **Serial fallback, then a loud failure.**  Once the budget is spent on
+  the executor, the unit runs once inline in the parent (``pool->serial``,
+  recorded in the outcome's provenance), which survives even a broken
+  worker environment.  The fallback runs the *same* unit — every work
+  unit computes exactly what its digest names, so no fallback swaps the
+  estimator.  A unit that still fails surfaces as
+  :class:`~repro.errors.WorkerError`.
 
 * **Pool supervision.**  A broken pool is respawned and in-flight units
   resubmitted; a unit that out-lives ``unit_timeout`` gets its worker
@@ -28,20 +27,19 @@ for the modeled fabrics:
 
 * **In-flight dedup.**  Units sharing a ``config_digest`` within one
   batch execute once: the first occurrence leads, the rest follow its
-  outcome verbatim (value, error, degradation provenance, computed
-  digest) and are marked ``deduped``.  Because units are pure functions
-  of their digest material, a follower's outcome is byte-identical to
-  what executing it would have produced — dedup changes work done, never
-  results.
+  outcome verbatim (value, error, fallback provenance) and are marked
+  ``deduped``.  Because units are pure functions of their digest
+  material, a follower's outcome is byte-identical to what executing it
+  would have produced — dedup changes work done, never results.
 
 * **Clean interruption.**  ``KeyboardInterrupt`` cancels outstanding
   futures and terminates worker processes before propagating, so Ctrl-C
   leaves no orphan workers (and, because cache writes are atomic and
-  journal appends line-buffered, no torn state to resume from).
+  journal appends line-buffered, no torn state for the rerun to trip on).
 
 The supervisor is deliberately value-transparent: retries and pool-level
-recovery recompute pure functions and cannot change results, so a sweep
-that completes without engine/backend degradation is byte-identical to a
+recovery recompute pure functions of the unit's digest material and
+cannot change results, so a sweep that completes is byte-identical to a
 fault-free run — the property the chaos suite pins.
 
 Transport is pluggable: the parallel path drives any
@@ -78,11 +76,10 @@ BackendFactory = Callable[[int], ExecutorBackend]
 class SupervisorPolicy:
     """How hard the runner fights for each work unit.
 
-    ``max_attempts`` is the total execution budget per ladder rung (must be
-    at least 1 — zero attempts would never execute anything);
-    ``unit_timeout`` bounds one in-flight execution in wall seconds
-    (``None`` disables the watchdog); ``degrade`` enables the
-    engine/backend/serial fallback ladder; ``max_pool_respawns`` caps
+    ``max_attempts`` is the execution budget per unit before the serial
+    fallback (must be at least 1 — zero attempts would never execute
+    anything); ``unit_timeout`` bounds one in-flight execution in wall
+    seconds (``None`` disables the watchdog); ``max_pool_respawns`` caps
     consecutive pool rebuilds *without progress* before the remaining work
     degrades to serial; ``retry`` shapes the backoff (defaults to a fast
     0.05 s base, factor 2, capped at 2 s, ±50% seeded jitter); ``dedup``
@@ -92,7 +89,6 @@ class SupervisorPolicy:
 
     max_attempts: int = 3
     unit_timeout: Optional[float] = None
-    degrade: bool = True
     max_pool_respawns: int = 5
     seed: int = 0
     retry: Optional[RetryPolicy] = None
@@ -128,27 +124,6 @@ class SupervisorPolicy:
                                 backoff_stream(self.seed, digest, attempt))
 
 
-def degrade_unit(unit: WorkUnit) -> Optional[Tuple[str, WorkUnit]]:
-    """The next rung down the degradation ladder for ``unit``.
-
-    Returns ``(step label, degraded unit)`` or ``None`` when the unit is
-    already at the reference configuration (scalar engine, dense backend).
-    The degraded unit has a *different digest*: it computes a different
-    (reference-path) estimate, and the cache must never conflate the two.
-    """
-    if unit.params.get("engine") == "batched":
-        params = dict(unit.params)
-        params["engine"] = "scalar"
-        return ("engine:batched->scalar",
-                WorkUnit(unit.evaluator_id, unit.seed, params,
-                         backend=unit.backend))
-    if unit.backend == "sweep":
-        return ("backend:sweep->dense",
-                WorkUnit(unit.evaluator_id, unit.seed, dict(unit.params),
-                         backend="dense"))
-    return None
-
-
 @dataclass
 class RunReport:
     """Fault-tolerance provenance of one ``SweepRunner.run`` call."""
@@ -157,7 +132,6 @@ class RunReport:
     computed: int = 0
     cache_hits: int = 0
     deduped: int = 0
-    resumed: int = 0
     retries: int = 0
     timeouts: int = 0
     pool_respawns: int = 0
@@ -179,8 +153,6 @@ class RunReport:
             summary += f" ({100.0 * self.cache_hits / self.total:.1f}% hit rate)"
         if self.deduped:
             summary += f", {self.deduped} deduped"
-        if self.resumed:
-            summary += f" ({self.resumed} resumed)"
         lines = [summary]
         if not self.clean:
             lines.append(
@@ -199,14 +171,13 @@ class RunReport:
 class _Flight:
     """Mutable supervision state of one submitted work unit."""
 
-    __slots__ = ("index", "original", "unit", "attempt", "tries",
-                 "degradations", "deadline", "not_before", "serial_tried")
+    __slots__ = ("index", "unit", "attempt", "tries", "degradations",
+                 "deadline", "not_before", "serial_tried")
 
     def __init__(self, index: int, unit: WorkUnit):
         self.index = index
-        self.original = unit
-        self.unit = unit            # current rung of the ladder
-        self.attempt = 1            # attempts consumed on the current rung
+        self.unit = unit
+        self.attempt = 1            # attempts consumed on the executor
         self.tries = 0              # executions started (chaos salt)
         self.degradations: Tuple[str, ...] = ()
         self.deadline: Optional[float] = None
@@ -262,9 +233,9 @@ class Supervisor:
         The first occurrence of a digest executes; later occurrences become
         followers whose outcomes are the leader's, re-keyed to their own
         unit and marked ``deduped`` (with zero wall time — no work ran).
-        Everything else — value, error, attempts, degradation provenance,
-        ``computed_digest`` — propagates verbatim, so a deduped run is
-        byte-identical to a dedup-off run of the same batch.
+        Everything else — value, error, attempts, fallback provenance —
+        propagates verbatim, so a deduped run is byte-identical to a
+        dedup-off run of the same batch.
         """
         leaders: List[Tuple[int, WorkUnit]] = []
         followers: Dict[str, List[Tuple[int, WorkUnit]]] = {}
@@ -295,36 +266,24 @@ class Supervisor:
         """Supervised inline execution (the serial path and final fallback)."""
         from repro.runner.pool import UnitOutcome
 
-        current = unit
         attempt = 1
-        tries = 0
         while True:
-            tries += 1
             _digest, value, error, wall = execute_payload(
-                current.payload(), attempt=tries,
+                unit.payload(), attempt=attempt,
                 chaos_spec=self._chaos_spec, in_worker=False)
             if error is None:
                 return UnitOutcome(unit=unit, value=value, wall_time=wall,
-                                   attempts=tries, degraded=degradations,
-                                   computed_digest=current.config_digest)
-            if attempt < self.policy.max_attempts:
-                delay = self.policy.delay_for(current.config_digest, attempt)
-                attempt += 1
-                report.retries += 1
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            step = degrade_unit(current) if self.policy.degrade else None
-            if step is not None:
-                label, current = step
-                degradations += (label,)
-                report.degradations.append((unit.config_digest, label))
-                attempt = 1
-                continue
-            report.failures.append(unit.config_digest)
-            return UnitOutcome(unit=unit, value=None, wall_time=wall,
-                               error=error, attempts=tries,
-                               degraded=degradations)
+                                   attempts=attempt, degraded=degradations)
+            if attempt >= self.policy.max_attempts:
+                report.failures.append(unit.config_digest)
+                return UnitOutcome(unit=unit, value=None, wall_time=wall,
+                                   error=error, attempts=attempt,
+                                   degraded=degradations)
+            delay = self.policy.delay_for(unit.config_digest, attempt)
+            attempt += 1
+            report.retries += 1
+            if delay > 0:
+                time.sleep(delay)
 
     # -- backend path -----------------------------------------------------
 
@@ -354,7 +313,7 @@ class Supervisor:
                     for flight in self._drain(ready, delayed, inflight):
                         flight.degradations += ("pool->serial",)
                         report.degradations.append(
-                            (flight.original.config_digest, "pool->serial"))
+                            (flight.unit.config_digest, "pool->serial"))
                         report.serial_fallbacks += 1
                         on_complete(flight.index, self._run_inline(
                             flight.unit, report,
@@ -492,10 +451,9 @@ class Supervisor:
     def _outcome(self, flight: _Flight, value, wall: float):
         from repro.runner.pool import UnitOutcome
 
-        return UnitOutcome(unit=flight.original, value=value, wall_time=wall,
+        return UnitOutcome(unit=flight.unit, value=value, wall_time=wall,
                            attempts=flight.tries,
-                           degraded=flight.degradations,
-                           computed_digest=flight.unit.config_digest)
+                           degraded=flight.degradations)
 
     def _handle_failure(self, flight: _Flight, error: str, wall: float,
                         now: float, ready: Deque[_Flight],
@@ -512,22 +470,14 @@ class Supervisor:
             report.retries += 1
             delayed.append(flight)
             return
-        step = degrade_unit(flight.unit) if policy.degrade else None
-        if step is not None:
-            label, degraded = step
-            flight.unit = degraded
-            flight.degradations += (label,)
-            flight.attempt = 1
-            report.degradations.append((flight.original.config_digest, label))
-            ready.append(flight)
-            return
         if not flight.serial_tried:
-            # Last rung: one inline execution in the parent process, which
-            # survives even a worker environment that cannot start at all.
+            # Last resort: one inline execution of the same unit in the
+            # parent process, which survives even a worker environment
+            # that cannot start at all.
             flight.serial_tried = True
             flight.degradations += ("pool->serial",)
             report.degradations.append(
-                (flight.original.config_digest, "pool->serial"))
+                (flight.unit.config_digest, "pool->serial"))
             report.serial_fallbacks += 1
             flight.tries += 1
             _digest, value, inline_error, inline_wall = execute_payload(
@@ -538,9 +488,9 @@ class Supervisor:
                             self._outcome(flight, value, inline_wall))
                 return
             error, wall = inline_error, inline_wall
-        report.failures.append(flight.original.config_digest)
+        report.failures.append(flight.unit.config_digest)
         on_complete(flight.index, UnitOutcome(
-            unit=flight.original, value=None, wall_time=wall, error=error,
+            unit=flight.unit, value=None, wall_time=wall, error=error,
             attempts=flight.tries, degraded=flight.degradations))
 
 

@@ -37,11 +37,9 @@ from repro.errors import ConfigurationError
 #: 6: the batchability gate widened to single-bus and multistage fabrics
 #:    (batched SBUS grants, plane-based Omega/cube/baseline routing) and
 #:    the ``auto`` engine arrived, so pre-fabric-gate entries must miss.
-CACHE_SCHEMA_VERSION = 6
-
-#: The reference solver backend: per-point dense solves with no cross-point
-#: state, the backend whose results every other backend must reproduce.
-DEFAULT_BACKEND = "dense"
+#: 7: solver backend left digest material (one exact-chain solver remains),
+#:    so entries digested with a backend tag must miss.
+CACHE_SCHEMA_VERSION = 7
 
 #: Everything the work-unit digest covers, in hash order — the *complete*
 #: list of inputs an evaluator's result may depend on.  The whole-program
@@ -50,8 +48,7 @@ DEFAULT_BACKEND = "dense"
 #: to its ``reads=(...)`` registration, ``os.environ``, mutable module
 #: state) can change behavior without changing the digest, and the cache
 #: would serve stale results for it.
-DIGEST_MATERIAL = ("code_version", "evaluator_id", "seed", "backend",
-                   "params")
+DIGEST_MATERIAL = ("code_version", "evaluator_id", "seed", "params")
 
 
 def code_version() -> str:
@@ -79,19 +76,12 @@ def canonical_params(params: Mapping[str, Any]) -> str:
 
 
 def work_unit_digest(evaluator_id: str, seed: int,
-                     params: Mapping[str, Any],
-                     backend: str = DEFAULT_BACKEND) -> str:
-    """SHA-256 content hash of one work unit (hex).
-
-    The solver backend is digest material: a result computed by the dense
-    reference path and one computed by the sweep fast path agree only to
-    solver tolerance, so the cache must never serve one for the other.
-    """
+                     params: Mapping[str, Any]) -> str:
+    """SHA-256 content hash of one work unit (hex)."""
     material = "\n".join([
         code_version(),
         evaluator_id,
         str(int(seed)),
-        backend,
         canonical_params(params),
     ])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -109,16 +99,12 @@ class WorkUnit:
     evaluator_id: str
     seed: int
     params: Mapping[str, Any]
-    backend: str = DEFAULT_BACKEND
     config_digest: str = field(default="")
 
     def __post_init__(self) -> None:
         if not self.evaluator_id:
             raise ConfigurationError("work unit needs a non-empty evaluator id")
-        if not self.backend:
-            raise ConfigurationError("work unit needs a non-empty backend")
-        digest = work_unit_digest(self.evaluator_id, self.seed, self.params,
-                                  backend=self.backend)
+        digest = work_unit_digest(self.evaluator_id, self.seed, self.params)
         if self.config_digest and self.config_digest != digest:
             raise ConfigurationError(
                 f"work-unit digest mismatch: declared {self.config_digest!r} "
@@ -129,9 +115,8 @@ class WorkUnit:
     def payload(self) -> tuple:
         """The picklable form shipped to pool workers."""
         return (self.evaluator_id, self.seed, dict(self.params),
-                self.backend, self.config_digest)
+                self.config_digest)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"WorkUnit({self.evaluator_id!r}, seed={self.seed}, "
-                f"backend={self.backend!r}, "
                 f"digest={self.config_digest[:12]})")

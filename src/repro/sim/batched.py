@@ -428,8 +428,8 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
     """Why this model cannot run on the batched path, or None when it can.
 
     The returned string names the *first* blocking property — the one the
-    CLI surfaces when ``--engine batched|megabatch`` falls back to the
-    scalar engine.  The gate, in order:
+    CLI's fallback note names when ``repro run`` (with any engine but
+    ``scalar``) sends a curve to the scalar engine.  The gate, in order:
 
     * a fabric family with a dispatch kernel in ``FABRIC_CAPABILITIES``
       (all five grammar network types have one);

@@ -85,6 +85,18 @@ class TestCli:
                      "--quality", "fast"]) == 0
         captured = capsys.readouterr()
         assert "falls back" not in captured.err
+        # 7 analytic curves x 8 fast-grid intensities, one unit per point.
+        assert "56 points (56 units) in " in captured.out
+
+    def test_run_summary_counts_points_not_units(self, capsys, monkeypatch):
+        """A mega-batch unit carries a whole curve: the summary counts the
+        curve's points, and reports the units separately."""
+        from repro.experiments import figures
+
+        monkeypatch.setitem(figures.QUALITY_PRESETS, "fast", (0.55, 400.0))
+        assert main(["run", "fig7", "--no-cache", "--quality", "fast"]) == 0
+        # 4 crossbar curves x 3 intensities, each curve one mega-batch unit.
+        assert "12 points (4 units) in " in capsys.readouterr().out
 
 
 class TestRender:

@@ -205,7 +205,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("drifted", reads=("alpha",))
-                def drifted(seed, params, backend="dense"):
+                def drifted(seed, params):
                     return params["alpha"] + params["beta"]
                 """,
         })
@@ -221,7 +221,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("honest", reads=("alpha", "beta"))
-                def honest(seed, params, backend="dense"):
+                def honest(seed, params):
                     return params["alpha"] * params.get("beta", 1.0)
                 """,
         })
@@ -235,7 +235,7 @@ class TestSim007DigestDrift:
 
 
                 @register("aliased", reads=())
-                def aliased(seed, params, backend="dense"):
+                def aliased(seed, params):
                     return params["gamma"]
                 """,
         })
@@ -251,7 +251,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("envy", reads=("alpha",))
-                def envy(seed, params, backend="dense"):
+                def envy(seed, params):
                     return params["alpha"] * float(os.environ["SCALE"])
                 """,
         })
@@ -267,7 +267,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("dynamic", reads=("alpha",))
-                def dynamic(seed, params, backend="dense"):
+                def dynamic(seed, params):
                     key = "alpha"
                     return params[key]
                 """,
@@ -307,7 +307,7 @@ class TestSim008WorkerImpurity:
 
 
                 @evaluator("impure", reads=("alpha",))
-                def impure(seed, params, backend="dense"):
+                def impure(seed, params):
                     bump("impure")
                     return params["alpha"]
                 """,
@@ -338,7 +338,7 @@ class TestSim008WorkerImpurity:
 
 
                 @evaluator("pure", reads=("alpha",))
-                def pure(seed, params, backend="dense"):
+                def pure(seed, params):
                     acc = {}
                     acc["value"] = params["alpha"]
                     return acc
@@ -616,7 +616,7 @@ class TestVocabularySync:
         from repro.runner.workunit import DIGEST_MATERIAL
 
         assert DIGEST_MATERIAL == ("code_version", "evaluator_id", "seed",
-                                   "backend", "params")
+                                   "params")
 
     def test_every_production_evaluator_declares_reads(self):
         import repro.runner.evaluators as evaluators

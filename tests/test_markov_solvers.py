@@ -1,5 +1,7 @@
 """Tests for the three SBUS solvers and their degenerate-case agreement."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +140,17 @@ class TestSolutionInvariants:
         few = solve_sbus(arrival, 1.0, 0.3, 3).mean_delay
         many = solve_sbus(arrival, 1.0, 0.3, 6).mean_delay
         assert many < few
+
+
+class TestNearSaturation:
+    def test_matrix_geometric_answers_close_to_capacity(self):
+        """The default method needs no truncation ladder, so it still
+        answers where the queue is long and the delay steep."""
+        nearer = solve_sbus(0.97, 1.0, 1.0, 4)
+        farther = solve_sbus(0.9, 1.0, 1.0, 4)
+        assert nearer.method == "matrix-geometric"
+        assert math.isfinite(nearer.mean_delay)
+        assert nearer.mean_delay > farther.mean_delay > 0.0
 
 
 class TestErrorHandling:

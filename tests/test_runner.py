@@ -30,12 +30,12 @@ from repro.workload.arrivals import Workload
 #: Deliberately failing evaluator, registered at import (module level so
 #: pool workers can unpickle it; SIM005).
 @evaluator("test-explode")
-def _explode(seed, params, backend="dense"):
+def _explode(seed, params):
     raise ValueError(f"boom from seed {seed}")
 
 
 @evaluator("test-square")
-def _square(seed, params, backend="dense"):
+def _square(seed, params):
     return params["x"] ** 2 + seed
 
 
@@ -54,8 +54,6 @@ class TestWorkUnit:
         assert work_unit_digest("analytic-point", 3, {"a": 1}) != base
         assert work_unit_digest("sweep-point", 4, {"a": 1}) != base
         assert work_unit_digest("sweep-point", 3, {"a": 2}) != base
-        assert work_unit_digest("sweep-point", 3, {"a": 1},
-                                backend="sweep") != base
 
     def test_unit_computes_and_pins_digest(self):
         unit = WorkUnit("sweep-point", 3, {"a": 1})
@@ -76,14 +74,7 @@ class TestWorkUnit:
     def test_payload_round_trips_through_pickle(self):
         unit = WorkUnit("sweep-point", 3, {"a": 1})
         payload = pickle.loads(pickle.dumps(unit.payload()))
-        assert payload == ("sweep-point", 3, {"a": 1}, "dense",
-                           unit.config_digest)
-
-    def test_backend_tag_separates_cache_identities(self):
-        dense = WorkUnit("analytic-point", 0, {"x": 1})
-        sweep = WorkUnit("analytic-point", 0, {"x": 1}, backend="sweep")
-        assert dense.backend == "dense"
-        assert dense.config_digest != sweep.config_digest
+        assert payload == ("sweep-point", 3, {"a": 1}, unit.config_digest)
 
 
 class TestResolveJobs:
@@ -257,6 +248,20 @@ class TestResultCache:
 
 
 class TestFigureParity:
+    @pytest.mark.parametrize("exp_id", ["fig4", "fig5"])
+    def test_analytic_series_equals_figure_curve(self, exp_id):
+        """The public API and the runner solve SBUS curves one way."""
+        from repro.analysis import analytic_series
+        from repro.experiments import FIGURE_SPECS
+
+        grid = [0.1, 0.4, 0.7, 1.0]
+        spec = FIGURE_SPECS[exp_id]
+        curves = figure_series(exp_id, quality="fast", intensities=grid,
+                               jobs=1)
+        for (label, triplet), curve in zip(spec.curves, curves):
+            assert analytic_series(triplet, spec.mu_ratio, grid,
+                                   label=label) == curve
+
     def test_work_units_have_independent_seeds(self):
         _spec, _grid, units = figure_work_units("fig7", quality="fast",
                                                 intensities=[0.3, 0.6])
@@ -414,33 +419,6 @@ class TestFigureParity:
         assert warm == cold
         assert all(o.cached for o in warm_runner.last_outcomes)
 
-    def test_sweep_backend_flows_through_pool(self):
-        """Analytic units tagged "sweep" run the fast path in workers and
-        agree with the dense reference backend."""
-        grid = [0.3, 0.5]
-        dense = figure_series("fig4", quality="fast", intensities=grid,
-                              jobs=1, solver="dense")
-        fast = figure_series("fig4", quality="fast", intensities=grid,
-                             jobs=2, solver="sweep")
-        for dense_series, fast_series in zip(dense, fast):
-            for dense_point, fast_point in zip(dense_series.points,
-                                               fast_series.points):
-                if dense_point.normalized_delay is None:
-                    assert fast_point.normalized_delay is None
-                    continue
-                assert fast_point.normalized_delay == pytest.approx(
-                    dense_point.normalized_delay, rel=1e-8)
-
-    def test_backends_never_share_cache_entries(self, tmp_path):
-        """The backend tag keeps dense and sweep results apart on disk."""
-        grid = [0.4]
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
-        figure_series("fig4", quality="fast", intensities=grid,
-                      runner=runner, solver="dense")
-        figure_series("fig4", quality="fast", intensities=grid,
-                      runner=runner, solver="sweep")
-        assert not any(o.cached for o in runner.last_outcomes)
-
 
 class TestReplicationWaves:
     WORKLOAD = Workload(arrival_rate=0.04, transmission_rate=1.0,
@@ -587,14 +565,14 @@ class TestCacheIntegrity:
 
 
 @evaluator("test-engine-sensitive")
-def _engine_sensitive(seed, params, backend="dense"):
+def _engine_sensitive(seed, params):
     if params.get("engine") == "batched":
         raise ValueError("batched path deliberately broken")
     return {"seed": seed, "engine": params.get("engine"), "x": params["x"]}
 
 
 @evaluator("test-log-execution")
-def _log_execution(seed, params, backend="dense"):
+def _log_execution(seed, params):
     # Appends one line per *execution* to a file the test names; dedup
     # tests count lines to prove each unique digest ran exactly once.
     with open(params["log"], "a", encoding="utf-8") as handle:
@@ -652,7 +630,7 @@ class TestInFlightDedup:
         units = [WorkUnit("test-explode", 7, {}),
                  WorkUnit("test-explode", 7, {}),
                  WorkUnit("test-square", 0, {"x": 2})]
-        policy = SupervisorPolicy(max_attempts=1, degrade=False)
+        policy = SupervisorPolicy(max_attempts=1)
         runner = SweepRunner(jobs=1, supervisor=policy)
         outcomes = runner.run(units, raise_on_error=False)
         assert not outcomes[0].ok and not outcomes[1].ok
@@ -660,26 +638,6 @@ class TestInFlightDedup:
         assert "boom from seed 7" in outcomes[1].error
         assert not outcomes[0].deduped and outcomes[1].deduped
         assert outcomes[2].ok and not outcomes[2].deduped
-
-    def test_degradation_digest_propagates_to_followers(self, tmp_path):
-        unit = WorkUnit("test-engine-sensitive", 3,
-                        {"x": 1, "engine": "batched"})
-        scalar = WorkUnit("test-engine-sensitive", 3,
-                          {"x": 1, "engine": "scalar"})
-        cache = ResultCache(tmp_path)
-        policy = SupervisorPolicy(max_attempts=1, degrade=True)
-        runner = SweepRunner(jobs=1, cache=cache, supervisor=policy)
-        first, second = runner.run([unit, WorkUnit(
-            "test-engine-sensitive", 3, {"x": 1, "engine": "batched"})])
-        assert first.ok and second.ok and second.deduped
-        assert first.computed_digest == scalar.config_digest
-        assert second.computed_digest == scalar.config_digest
-        assert first.degraded == second.degraded == \
-            ("engine:batched->scalar",)
-        # Cached once, under what was actually computed.
-        assert cache.get(scalar.config_digest)[0]
-        assert cache.get(unit.config_digest)[0] is False
-        assert cache.stats().entries == 1
 
     def test_counter_invariant_with_cache_hits(self, tmp_path):
         units = [WorkUnit("test-square", 2, {"x": x}) for x in (1, 1, 2, 3)]
@@ -702,6 +660,43 @@ class TestInFlightDedup:
         text = runner.last_report.format()
         assert "1 deduped" in text
         assert "hit rate" in text
+
+
+class TestFailingUnitFailsLoudly:
+    """A unit that keeps failing is never swapped for another estimator:
+    it is retried under its own digest and then surfaces as an error."""
+
+    def _units(self, count):
+        return [WorkUnit("test-engine-sensitive", 3,
+                         {"x": x, "engine": "batched"})
+                for x in range(count)]
+
+    def test_serial_path_raises_after_retries(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        runner = SweepRunner(jobs=1, cache=cache,
+                             supervisor=SupervisorPolicy(max_attempts=2))
+        with pytest.raises(WorkerError) as excinfo:
+            runner.run(self._units(1))
+        assert "batched path deliberately broken" in \
+            excinfo.value.remote_traceback
+        [outcome] = runner.last_outcomes
+        assert (outcome.attempts, outcome.degraded) == (2, ())
+        report = runner.last_report
+        assert report.retries == 1 and report.degradations == []
+        assert cache.stats().entries == 0
+
+    def test_pool_path_records_only_the_serial_fallback(self, tmp_path):
+        units = self._units(2)
+        cache = ResultCache(tmp_path)
+        runner = SweepRunner(jobs=2, cache=cache,
+                             supervisor=SupervisorPolicy(max_attempts=2))
+        with pytest.raises(WorkerError):
+            runner.run(units)
+        assert [o.degraded for o in runner.last_outcomes] == \
+            [("pool->serial",)] * 2
+        assert sorted(runner.last_report.degradations) == sorted(
+            (unit.config_digest, "pool->serial") for unit in units)
+        assert cache.stats().entries == 0
 
 
 class TestExecutorBackendSeam:
