@@ -7,12 +7,13 @@ forward claim walk of the scalar
 vectorized grant waves per status broadcast over every replication at
 once (:meth:`~repro.networks.batched_omega.BatchedMultistageRouter.route_broadcast`).
 
-This benchmark takes the paper's headline 16x16 Omega delay
-configuration (Figures 12/13) at 80% of its saturation intensity,
-computes a 64-replication wave both ways (identical seeds, so the
-batched delays must equal the scalar engine's bit for bit on the
-sampled prefix), and pins a replications-per-second speedup floor of 2x
-for the batched path (best-of-three on both sides).
+This benchmark takes the paper's Omega delay configurations (Figures
+12/13: one 16x16 network, four 4x4 and eight 2x2 partitions) at 80% of
+their saturation intensity, computes a 64-replication wave both ways
+(identical seeds, so the batched delays must equal the scalar engine's
+bit for bit on the sampled prefix), and pins a replications-per-second
+speedup floor of 2x for the batched path on the headline 16x16 network
+(best-of-three on both sides).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the wave and horizon so CI can execute
 the benchmark end to end in seconds; the speedup floor is asserted only
@@ -25,6 +26,8 @@ import math
 import os
 from time import perf_counter
 
+import pytest
+
 from repro.analysis.approximations import saturation_intensity
 from repro.analysis.sweep import workload_at
 from repro.config import SystemConfig
@@ -34,6 +37,9 @@ from repro.sim.rng import spawn_seed
 
 #: The 16x16 Omega network of the Figure 12/13 delay curves.
 CONFIG = "16/1x16x16 OMEGA/2"
+#: Every Figure 12/13 Omega curve; the partitioned ones dispatch all
+#: their (row, partition) broadcasts in one router call per step.
+AGREEMENT_CONFIGS = (CONFIG, "16/8x2x2 OMEGA/2", "16/4x4x4 OMEGA/2")
 MU_RATIO = 0.1
 INTENSITY_FRACTION = 0.8
 MASTER_SEED = 1
@@ -48,8 +54,8 @@ SCALAR_SAMPLE = 4 if SMOKE else 8
 SPEEDUP_FLOOR = 2.0
 
 
-def _setup():
-    config = SystemConfig.parse(CONFIG)
+def _setup(triplet=CONFIG):
+    config = SystemConfig.parse(triplet)
     intensity = INTENSITY_FRACTION * saturation_intensity(config, MU_RATIO)
     workload = workload_at(intensity, MU_RATIO,
                            processors=config.processors)
@@ -85,15 +91,16 @@ def _mismatches(batched, scalar):
         for left, right in zip(batched, scalar))
 
 
-def test_batched_omega_replications(benchmark):
+@pytest.mark.parametrize("triplet", AGREEMENT_CONFIGS)
+def test_batched_omega_replications(benchmark, triplet):
     """Measure the batched Omega wave; record both paths in the payload."""
-    config, workload, seeds = _setup()
+    config, workload, seeds = _setup(triplet)
     scalar_delays, scalar_time = _run_scalar_sample(config, workload, seeds)
     batched_delays, batched_time = benchmark.pedantic(
         lambda: _run_batched(config, workload, seeds),
         rounds=1, iterations=1)
     speedup = scalar_time / batched_time
-    benchmark.extra_info["config"] = CONFIG
+    benchmark.extra_info["config"] = triplet
     benchmark.extra_info["replications"] = REPLICATIONS
     benchmark.extra_info["horizon"] = HORIZON
     benchmark.extra_info["scalar_estimate_s"] = round(scalar_time, 6)
@@ -104,7 +111,7 @@ def test_batched_omega_replications(benchmark):
     benchmark.extra_info["agreement"] = _mismatches(batched_delays,
                                                     scalar_delays) == 0
     benchmark.extra_info["smoke"] = SMOKE
-    print(f"\n{REPLICATIONS} replications of {CONFIG}: scalar "
+    print(f"\n{REPLICATIONS} replications of {triplet}: scalar "
           f"{scalar_time:.2f}s (est), batched {batched_time:.2f}s, "
           f"speedup {speedup:.2f}x")
     assert _mismatches(batched_delays, scalar_delays) == 0, (
@@ -120,8 +127,6 @@ def test_batched_omega_speedup_floor():
     leaves nothing for the batch width to amortize.
     """
     if SMOKE:
-        import pytest
-
         pytest.skip("speedup floor asserted at full wave size only")
     config, workload, seeds = _setup()
     scalar_time = min(_run_scalar_sample(config, workload, seeds)[1]

@@ -20,15 +20,17 @@ live row by exactly one event** with vectorized NumPy updates:
   block refills preserve bit-identity);
 * FIFO queues are ring buffers of task creation times in one
   ``(K, P, capacity)`` array;
-* dispatch is a per-fabric batched kernel (see ``FABRIC_CAPABILITIES``):
-  the priority matcher of :mod:`repro.networks.batched_crossbar` — the
-  closed form of the crossbar cells' wavefront, or the masked wavefront
-  itself when the fabric carries dead crosspoints — executed once per
-  partition for every row at once; its single-column degenerate form in
-  :mod:`repro.networks.batched_sbus` for the shared bus; and the plane
-  router of :mod:`repro.networks.batched_omega` for multistage fabrics,
-  which answers one connect attempt per requesting input (in the scalar
-  broadcast's ascending order) for every row at once;
+* dispatch is one call per step to a per-fabric batched kernel (see
+  ``FABRIC_CAPABILITIES``): the priority matcher of
+  :mod:`repro.networks.batched_crossbar` — the closed form of the
+  crossbar cells' wavefront, or the masked wavefront itself when the
+  fabric carries dead crosspoints; its single-column degenerate form in
+  :mod:`repro.networks.batched_sbus` for the shared bus; and the grant
+  waves of :mod:`repro.networks.batched_omega` for multistage fabrics,
+  which replay the scalar broadcast's ascending retry order.  A row's
+  one event re-offers exactly one partition (an arrival its processor's,
+  a completion the freed port's), so every ``(row, partition)`` status
+  broadcast of the step is one row of that single call;
 * mean queueing delay accumulates by Welford's recurrence exactly as
   :class:`repro.sim.stats.TallyStat` does, vectorized when every granted
   row appears once and replayed sequentially when one row receives
@@ -95,7 +97,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.config import SystemConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.networks.batched_crossbar import (
     masked_match_pairs_batch,
     match_pairs_batch,
@@ -740,7 +742,6 @@ class MegaBatchEngine:
         resources = self._resources
         calendar = self._calendar
         router = self._router
-        single = partitions == 1
         arrival_table, transmission_table, service_table = (
             self._build_tables(horizon))
         self._transmission_table = transmission_table
@@ -751,8 +752,17 @@ class MegaBatchEngine:
             np.arange(rows_total * processors, dtype=np.int64))
         self._next_arrival[:, :] = first.reshape(rows_total, processors)
 
+        # (row, partition, ·) views of the per-processor and per-port
+        # state: one status broadcast is one (row, partition) pair.
+        pair_shape = (rows_total, partitions, per_partition)
+        port_shape = (rows_total, partitions, ports)
+        queue_length = self._queue_length.reshape(pair_shape)
+        transmission_end = self._transmission_end.reshape(pair_shape)
+        bus_busy = self._bus_busy.reshape(port_shape)
+        busy_resources = self._busy_resources.reshape(port_shape)
         times = np.empty(rows_total, dtype=np.float64)
-        request = np.zeros((rows_total, processors), dtype=np.uint8)
+        request = np.zeros(pair_shape, dtype=np.uint8)
+        flat_request = request.reshape(rows_total, processors)
         while True:
             calendar.min(axis=1, out=times)
             live = times <= horizon
@@ -766,10 +776,10 @@ class MegaBatchEngine:
                 now = times[live]
                 slots = calendar[reps].argmin(axis=1)
             request.fill(0)
-            # Partitions each live row must re-offer after its event (an
-            # arrival only redispatches its own processor).
-            broadcast = (None if single
-                         else np.full(reps.shape[0], -1, dtype=np.int64))
+            # The partition each live row re-offers after its event: the
+            # one whose port a completion freed (an arrival only
+            # redispatches its own processor).
+            broadcast = np.empty(reps.shape[0], dtype=np.int64)
 
             is_arrival = slots < processors
             is_service = slots >= 2 * processors
@@ -783,22 +793,16 @@ class MegaBatchEngine:
                 calendar[sv_reps, slots[sub]] = _INF
                 self._busy_resources[sv_reps, port_index] -= 1
                 self._completed[sv_reps[now[sub] > warmup]] += 1
-                if broadcast is not None:
-                    broadcast[sub] = port_index // ports
+                broadcast[sub] = port_index // ports
 
             # --- transmission completions ------------------------------
             if is_transmission.any():
                 sub = np.nonzero(is_transmission)[0]
                 tr_reps = reps[sub]
                 rows = slots[sub] - processors
-                columns = self._connected_port[tr_reps, rows]
-                if single:
-                    port_index = columns
-                    service_rows = tr_reps
-                else:
-                    partition = rows // per_partition
-                    port_index = partition * ports + columns
-                    service_rows = tr_reps * partitions + partition
+                partition = rows // per_partition
+                port_index = (partition * ports
+                              + self._connected_port[tr_reps, rows])
                 calendar[tr_reps, slots[sub]] = _INF
                 self._connected_port[tr_reps, rows] = -1
                 self._bus_busy[tr_reps, port_index] = 0
@@ -806,22 +810,16 @@ class MegaBatchEngine:
                     # Tear down the multistage circuits (no draws happen
                     # here, so ordering against the service draw below is
                     # immaterial — only the broadcast must see freed links).
-                    if single:
-                        router.release_batch(
-                            tr_reps,
-                            np.zeros(rows.shape[0], dtype=np.int64), rows)
-                    else:
-                        router.release_batch(
-                            tr_reps, partition,
-                            rows - partition * per_partition)
+                    router.release_batch(tr_reps, partition,
+                                         rows - partition * per_partition)
                 self._busy_resources[tr_reps, port_index] += 1
                 free_slot = (self._service_end[tr_reps, port_index]
                              == _INF).argmax(axis=1)
-                durations = service_table.draw(service_rows)
+                durations = service_table.draw(tr_reps * partitions
+                                               + partition)
                 self._service_end[tr_reps, port_index, free_slot] = (
                     now[sub] + durations)
-                if broadcast is not None:
-                    broadcast[sub] = partition
+                broadcast[sub] = partition
 
             # --- arrivals ----------------------------------------------
             if is_arrival.any():
@@ -840,70 +838,50 @@ class MegaBatchEngine:
                 # The arriving processor redispatches if idle (it re-checks
                 # candidates; nothing else changed for its partition).
                 idle = self._transmission_end[ar_reps, rows] == _INF
-                request[ar_reps[idle], rows[idle]] = 1
+                flat_request[ar_reps[idle], rows[idle]] = 1
+            if not is_arrival.all():
+                offered = ~is_arrival
+                b_reps = reps[offered]
+                b_parts = broadcast[offered]
+                request[b_reps, b_parts] = (
+                    (queue_length[b_reps, b_parts] > 0)
+                    & (transmission_end[b_reps, b_parts] == _INF))
 
-            # --- status broadcasts → batched priority matching ----------
-            if single:
-                if not is_arrival.all():
-                    b_reps = reps[~is_arrival]
-                    waiting = ((self._queue_length > 0)
-                               & (self._transmission_end == _INF))
-                    request[b_reps] = waiting[b_reps]
-                if not request.any():
-                    continue
-                if router is not None:
-                    self._route_requests(0, request, times, warmup)
-                    continue
-                acceptable = ((self._bus_busy == 0)
-                              & (self._busy_resources < resources))
-                grant_reps, grant_rows, grant_cols = self._match(
-                    0, request, acceptable)
-                if grant_reps.size:
-                    self._apply_grants(0, grant_reps, grant_rows, grant_cols,
-                                       times, warmup)
+            # --- status broadcasts: one dispatch for every pair ---------
+            kk, gg = np.nonzero(request.any(axis=2))
+            if kk.size == 0:
                 continue
-            assert broadcast is not None
-            if (broadcast >= 0).any():
-                waiting = ((self._queue_length > 0)
-                           & (self._transmission_end == _INF))
-                for g in range(partitions):
-                    selected = broadcast == g
-                    if selected.any():
-                        b_reps = reps[selected]
-                        segment = slice(g * per_partition,
-                                        (g + 1) * per_partition)
-                        request[b_reps, segment] = waiting[b_reps, segment]
-            if not request.any():
-                continue
+            if (kk[1:] == kk[:-1]).any():
+                raise SchedulingError(
+                    "row broadcast in two partitions in one step "
+                    "(engine bug)")
+            requests = request[kk, gg]
+            acceptable = ((bus_busy[kk, gg] == 0)
+                          & (busy_resources[kk, gg] < resources))
             if router is not None:
-                for g in range(partitions):
-                    segment_requests = request[:, g * per_partition:
-                                               (g + 1) * per_partition]
-                    if segment_requests.any():
-                        self._route_requests(g, segment_requests, times,
-                                             warmup)
+                # Grant waves replay the scalar broadcast's ascending
+                # retry order (see route_broadcast); each wave's dispatch
+                # bookkeeping applies before the next is routed.
+                for positions, inputs, out_ports in router.route_broadcast(
+                        kk, gg, requests, acceptable):
+                    self._apply_grants(kk[positions], gg[positions], inputs,
+                                       out_ports, times, warmup)
                 continue
-            acceptable = ((self._bus_busy == 0)
-                          & (self._busy_resources < resources))
-            for g in range(partitions):
-                segment_requests = request[:, g * per_partition:
-                                           (g + 1) * per_partition]
-                if not segment_requests.any():
-                    continue
-                segment_acceptable = acceptable[:, g * ports:(g + 1) * ports]
-                grant_reps, grant_rows, grant_cols = self._match(
-                    g, segment_requests, segment_acceptable)
-                if grant_reps.size:
-                    self._apply_grants(g, grant_reps, grant_rows, grant_cols,
-                                       times, warmup)
+            pairs, grant_rows, grant_cols = self._match(gg, requests,
+                                                        acceptable)
+            if pairs.size:
+                self._apply_grants(kk[pairs], gg[pairs], grant_rows,
+                                   grant_cols, times, warmup)
 
-    def _match(self, partition: int, requests: np.ndarray,
+    def _match(self, partitions: _IntArray, requests: np.ndarray,
                acceptable: np.ndarray
                ) -> Tuple[_IntArray, _IntArray, _IntArray]:
-        """One batched dispatch of a crossbar or bus partition.
+        """One batched dispatch of crossbar or bus broadcasts.
 
-        All three matchers return the same replication-major,
-        row-ascending ``(reps, rows, columns)`` triple layout.
+        Row ``i`` of ``requests``/``acceptable`` is a broadcast in
+        partition ``partitions[i]``.  All three matchers return the same
+        pair-major, processor-ascending ``(pairs, rows, columns)`` triple
+        layout.
         """
         if self._dispatch_kind == "bus":
             return match_bus_batch(requests, acceptable)
@@ -911,57 +889,25 @@ class MegaBatchEngine:
         if masks is None:
             return match_pairs_batch(requests, acceptable)
         return masked_match_pairs_batch(requests, acceptable,
-                                        masks[partition])
+                                        masks[partitions])
 
-    def _route_requests(self, partition: int, requests: np.ndarray,
-                        times: _FloatArray, warmup: float) -> None:
-        """One status broadcast of a multistage partition.
-
-        The scalar broadcast retries waiting processors in ascending
-        index order, recomputing the candidate ports before each attempt
-        (an earlier grant busies a bus and may block a later input).
-        The router replays that whole pass in a handful of vectorized
-        grant waves — see
-        :meth:`~repro.networks.batched_omega.BatchedMultistageRouter.route_broadcast`
-        for why the waves reproduce the ascending order bit for bit —
-        and this method applies each wave's dispatch bookkeeping (queue
-        pops, Welford updates, transmission draws) between waves.
-        """
-        router = self._router
-        assert router is not None
-        req_rows = np.nonzero(requests.any(axis=1))[0]
-        if req_rows.shape[0] == 0:
-            return
-        lo = partition * self._ports
-        hi = lo + self._ports
-        acceptable = ((self._bus_busy[req_rows, lo:hi] == 0)
-                      & (self._busy_resources[req_rows, lo:hi]
-                         < self._resources))
-        for positions, inputs, ports in router.route_broadcast(
-                req_rows, partition, requests[req_rows], acceptable):
-            self._apply_grants(partition, req_rows[positions], inputs,
-                               ports, times, warmup)
-
-    def _apply_grants(self, partition: int, grant_reps: _IntArray,
+    def _apply_grants(self, grant_reps: _IntArray,
+                      grant_partitions: _IntArray,
                       grant_rows: _IntArray, grant_cols: _IntArray,
                       times: _FloatArray, warmup: float) -> None:
-        """Dispatch the matched (row, processor, column) triples.
+        """Dispatch the matched (row, partition, processor, column) grants.
 
-        Both matchers return triples row-major and processor-ascending —
-        the scalar broadcast's dispatch order — so when every batch row
-        appears once the queue pops, Welford updates and transmission
-        draws all vectorize; a row granted several connections in one
-        broadcast replays them sequentially instead.
+        ``grant_rows`` and ``grant_cols`` are partition-local.  Every
+        dispatch kernel — the three matchers and each router wave —
+        returns grants row-major and processor-ascending, the scalar
+        broadcast's dispatch order, so when every batch row appears once
+        the queue pops, Welford updates and transmission draws all
+        vectorize; a row granted several connections in one broadcast
+        replays them sequentially instead.
         """
-        if partition:
-            rows = partition * self._per_partition + grant_rows
-            port_index = partition * self._ports + grant_cols
-            table_rows = grant_reps * self._partitions + partition
-        else:
-            rows = grant_rows
-            port_index = grant_cols
-            table_rows = (grant_reps if self._partitions == 1
-                          else grant_reps * self._partitions)
+        rows = grant_partitions * self._per_partition + grant_rows
+        port_index = grant_partitions * self._ports + grant_cols
+        table_rows = grant_reps * self._partitions + grant_partitions
         capacity = self._queue_capacity
         if grant_reps.size == 1 or (grant_reps[1:] != grant_reps[:-1]).all():
             moments = times[grant_reps]

@@ -272,11 +272,45 @@ class TestMaskedMatching:
         assert rows.tolist() == [0, 1, 0, 1]
         assert cols.tolist() == [1, 0, 1, 0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_per_replication_masks_match_per_row_calls(self, data):
+        """A ``(R, p, m)`` alive stack grants, replication by replication,
+        what a one-row call with that replication's ``(p, m)`` mask does."""
+        processors = data.draw(st.integers(1, 6), label="p")
+        buses = data.draw(st.integers(1, 6), label="m")
+        replications = data.draw(st.integers(1, 5), label="R")
+
+        def plane(label, shape):
+            return np.array(data.draw(st.lists(
+                st.integers(0, 1), min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape))), label=label),
+                dtype=np.uint8).reshape(shape)
+
+        alive = plane("alive", (replications, processors, buses))
+        requesting = plane("requesting", (replications, processors))
+        available = plane("available", (replications, buses))
+        reps, rows, cols = masked_match_pairs_batch(requesting, available,
+                                                    alive)
+        expected = ([], [], [])
+        for k in range(replications):
+            _, one_rows, one_cols = masked_match_pairs_batch(
+                requesting[k:k + 1], available[k:k + 1], alive[k])
+            expected[0].extend([k] * one_rows.shape[0])
+            expected[1].extend(one_rows.tolist())
+            expected[2].extend(one_cols.tolist())
+        assert (reps.tolist(), rows.tolist(), cols.tolist()) == expected
+
     def test_mask_shape_validated(self):
         with pytest.raises(SchedulingError):
             masked_match_pairs_batch(np.ones((1, 2), dtype=np.uint8),
                                      np.ones((1, 2), dtype=np.uint8),
                                      np.ones((3, 2), dtype=np.uint8))
+        with pytest.raises(SchedulingError):
+            # A per-replication stack must have one plane per replication.
+            masked_match_pairs_batch(np.ones((2, 2), dtype=np.uint8),
+                                     np.ones((2, 2), dtype=np.uint8),
+                                     np.ones((3, 2, 2), dtype=np.uint8))
 
     def test_batched_crossbar_fail_and_repair_cell(self):
         batched = BatchedCrossbar(2, 2, 2)

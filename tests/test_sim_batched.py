@@ -11,12 +11,16 @@ and then check the surrounding plumbing.
 import math
 import random
 
+import numpy as np
 import pytest
 
+from repro.analysis.approximations import saturation_intensity
+from repro.analysis.sweep import workload_at
 from repro.config import SystemConfig
 from repro.core.system import simulate
 from repro.errors import ConfigurationError
 from repro.faults.models import CellFault, FaultConfig, FaultSchedule
+from repro.networks.batched_omega import BatchedMultistageRouter
 from repro.sim import (
     BatchedReplicationEngine,
     MegaBatchEngine,
@@ -258,6 +262,32 @@ class TestMegaBatch:
                               seed=seed).mean_queueing_delay
             _assert_same_delay(scalar, batched[k], f"replication {k}")
 
+    def test_per_partition_cell_faults_match_scalar(self):
+        """Partitions with different dead cells, near saturation: the
+        flattened dispatch gathers each pair's own alive plane."""
+        schedule = FaultSchedule.of(
+            (0.0, "cell", (0, (0, 0)), "down"),
+            (0.0, "cell", (0, (2, 1)), "down"),
+            (0.0, "cell", (1, (1, 3)), "down"),
+            (0.0, "cell", (1, (3, 0)), "down"),
+            (0.0, "cell", (1, (0, 2)), "down"))
+        healthy = SystemConfig.parse("8/2x4x4 XBAR/1")
+        config = healthy.with_faults(FaultConfig(schedule=schedule))
+        workload = workload_at(0.8 * saturation_intensity(healthy, 0.1), 0.1,
+                               processors=healthy.processors)
+        assert batched_unsupported_reason(config, workload) is None
+        seeds = [921, 922, 923]
+        batched = batched_replication_delays(config, workload, horizon=500.0,
+                                             warmup=50.0, seeds=seeds)
+        unmasked = batched_replication_delays(healthy, workload,
+                                              horizon=500.0, warmup=50.0,
+                                              seeds=seeds)
+        assert batched != unmasked  # the dead cells must actually bite
+        for k, seed in enumerate(seeds):
+            scalar = simulate(config, workload, horizon=500.0, warmup=50.0,
+                              seed=seed).mean_queueing_delay
+            _assert_same_delay(scalar, batched[k], f"replication {k}")
+
     def test_unsupported_reason_names_the_gate(self):
         workload = Workload(0.05, 1.0, 0.1)
         for triplet in ("16/1x16x8 XBAR/2", "16/1x16x16 OMEGA/2",
@@ -343,6 +373,70 @@ class TestMegaBatch:
                           service_distribution="deterministic")]
         with pytest.raises(ConfigurationError):
             MegaBatchEngine(config, mixed, seed_groups=[[1], [2]])
+
+
+#: The paper's partitioned fabrics (Figs. 7/8 and 12/13).
+PAPER_PARTITIONED = ("16/8x2x2 OMEGA/2", "16/4x4x4 OMEGA/2",
+                     "16/4x4x8 XBAR/1", "16/4x4x4 XBAR/2")
+
+
+class TestPartitionedDispatch:
+    """One dispatch per lockstep step covers every (row, partition) pair.
+
+    The randomized grids above stay at light loads and at most four
+    partitions; these pin the paper's partitioned shapes, including the
+    one-stage 2x2 Omega, at loads where one broadcast grants several
+    connections.
+    """
+
+    @pytest.mark.parametrize("triplet", PAPER_PARTITIONED)
+    def test_paper_partitioned_fabrics_match_scalar(self, triplet):
+        config = SystemConfig.parse(triplet)
+        points = [(0.4, 0.1), (0.8, 0.1), (0.8, 1.0)]
+        workloads = [
+            workload_at(fraction * saturation_intensity(config, ratio),
+                        ratio, processors=config.processors)
+            for fraction, ratio in points]
+        groups = [[8100 + 10 * point + k for k in range(2)]
+                  for point in range(len(points))]
+        horizon, warmup = 400.0, 50.0
+        mega = megabatch_figure_delays(config, workloads, horizon=horizon,
+                                       warmup=warmup, seed_groups=groups)
+        for point, workload in enumerate(workloads):
+            for k, seed in enumerate(groups[point]):
+                scalar = simulate(config, workload, horizon=horizon,
+                                  warmup=warmup,
+                                  seed=seed).mean_queueing_delay
+                _assert_same_delay(scalar, mega[point][k],
+                                   f"{triplet} point {point} rep {k}")
+
+    def test_route_broadcast_never_repeats_a_batch_row(self, monkeypatch):
+        """Each router call carries at most one partition per batch row,
+        and calls do mix partitions (the partition axis is folded)."""
+        calls = []
+        original = BatchedMultistageRouter.route_broadcast
+
+        def recording(router, reps, partitions, requests, acceptable):
+            calls.append((reps.copy(), partitions.copy()))
+            return original(router, reps, partitions, requests, acceptable)
+
+        monkeypatch.setattr(BatchedMultistageRouter, "route_broadcast",
+                            recording)
+        config = SystemConfig.parse("16/8x2x2 OMEGA/2")
+        workloads = [
+            workload_at(fraction * saturation_intensity(config, 0.1), 0.1,
+                        processors=config.processors)
+            for fraction in (0.4, 0.8)]
+        megabatch_figure_delays(config, workloads, horizon=300.0,
+                                warmup=30.0,
+                                seed_groups=[[1, 2, 3], [4, 5, 6]])
+        assert calls
+        for reps, partitions in calls:
+            assert np.unique(reps).shape == reps.shape
+            assert ((partitions >= 0)
+                    & (partitions < config.num_networks)).all()
+        assert any(np.unique(partitions).shape[0] > 1
+                   for _, partitions in calls)
 
 
 class TestVariateStreams:
