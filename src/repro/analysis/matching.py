@@ -24,12 +24,13 @@ random small instances.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.networks.topology import MultistageTopology
+
+if TYPE_CHECKING:
+    from networkx import DiGraph
 
 
 def _link_node(column: int, index: int, side: str) -> Tuple[str, int, int]:
@@ -38,13 +39,15 @@ def _link_node(column: int, index: int, side: str) -> Tuple[str, int, int]:
 
 
 def build_flow_network(topology: MultistageTopology, sources: Sequence[int],
-                       ports: Sequence[int]) -> nx.DiGraph:
+                       ports: Sequence[int]) -> DiGraph:
     """The unit-capacity layered graph of the network's links.
 
     Each link ``(column, index)`` becomes an internal arc ``in -> out`` of
     capacity 1; box wiring connects link-out nodes of column ``t`` to
     link-in nodes of column ``t + 1``.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     size = topology.size
     for column in range(topology.stages + 1):
@@ -85,6 +88,8 @@ def optimal_allocation(topology: MultistageTopology, sources: Sequence[int],
             raise ConfigurationError(f"port {port} out of range")
     if not sources or not ports:
         return 0, {}
+    import networkx as nx
+
     graph = build_flow_network(topology, sources, ports)
     value, flow = nx.maximum_flow(graph, "SOURCE", "SINK")
     assignment: Dict[int, int] = {}

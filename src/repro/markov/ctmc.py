@@ -9,13 +9,14 @@ global-balance equations with one equation replaced by normalization.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 State = Hashable
 TransitionFn = Callable[[State], Iterable[Tuple[State, float]]]
@@ -81,8 +82,10 @@ class FiniteCTMC:
         """Size of the reachable (possibly truncated) state space."""
         return len(self.states)
 
-    def generator_matrix(self) -> sparse.csr_matrix:
+    def generator_matrix(self) -> csr_matrix:
         """The infinitesimal generator Q (rows sum to zero)."""
+        from scipy import sparse
+
         n = self.num_states
         off = sparse.coo_matrix((self._rates, (self._rows, self._cols)), shape=(n, n))
         off = off.tocsr()
@@ -108,6 +111,8 @@ class FiniteCTMC:
         if n <= _DENSE_CUTOFF:
             solution = np.linalg.solve(generator_t.toarray(), rhs)
         else:
+            from scipy.sparse.linalg import spsolve
+
             solution = spsolve(generator_t.tocsr(), rhs)
         if not np.all(np.isfinite(solution)):
             raise AnalysisError("stationary solve produced non-finite values")

@@ -17,7 +17,6 @@ own truncated procedure can be validated against.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.errors import AnalysisError
 
@@ -32,6 +31,8 @@ def solve_rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     against the factors (``X A1^{-1}`` as a transposed solve) instead of
     forming the explicit inverse.
     """
+    from scipy.linalg import lu_factor, lu_solve
+
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sim import BatchMeans, TallyStat, TimeWeightedStat, confidence_interval
+from repro.sim.stats import _T_975, _t_quantile
 
 
 class TestTallyStat:
@@ -142,3 +143,47 @@ class TestConfidenceInterval:
         from scipy import stats
         expected = stats.t.ppf(0.975, 4) * np.std(values, ddof=1) / np.sqrt(5)
         assert half == pytest.approx(expected)
+
+
+def _scipy_t(probability, df):
+    from scipy import stats
+
+    return float(stats.t.ppf(probability, df))
+
+
+class TestTQuantile:
+    """The pinned 0.975 table must carry scipy's own bits."""
+
+    @pytest.mark.parametrize("df", range(1, len(_T_975) + 1))
+    def test_table_matches_scipy_bit_for_bit(self, df):
+        assert _t_quantile(0.975, df).hex() == _scipy_t(0.975, df).hex()
+
+    @pytest.mark.parametrize("confidence, df", [(0.90, 100), (0.95, 200), (0.99, 4)])
+    def test_fallback_matches_scipy(self, confidence, df):
+        probability = 0.5 + confidence / 2.0
+        assert _t_quantile(probability, df).hex() == _scipy_t(probability, df).hex()
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.90])
+    def test_confidence_interval_matches_direct_scipy(self, confidence):
+        values = [2.5, 3.75, 1.0, 4.125, 2.0, 3.5, 5.25, 0.5]
+        n = len(values)
+        mean = sum(values) / n
+        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+        expected = _scipy_t(0.5 + confidence / 2.0, n - 1) * math.sqrt(variance / n)
+        got_mean, half = confidence_interval(values, confidence=confidence)
+        assert got_mean == mean
+        assert half.hex() == expected.hex()
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_batch_means_interval_matches_direct_scipy(self, confidence):
+        batches = BatchMeans(num_batches=20)
+        for index in range(400):
+            batches.record(float((index * 37) % 101) / 7.0)
+        means = batches.batch_means()
+        k = len(means)
+        grand = sum(means) / k
+        variance = sum((m - grand) ** 2 for m in means) / (k - 1)
+        expected = _scipy_t(0.5 + confidence / 2.0, k - 1) * math.sqrt(variance / k)
+        half, got_grand = batches.interval(confidence=confidence)
+        assert got_grand == grand
+        assert half.hex() == expected.hex()
